@@ -19,7 +19,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
+use momsynth_dvs::{scale_mode_owned, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::PeId;
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
@@ -163,6 +163,8 @@ pub struct Evaluator<'a> {
     config: &'a SynthesisConfig,
     /// Mode weights used in the optimisation objective.
     weights: Vec<f64>,
+    /// The true mode execution probabilities, which price the report.
+    probabilities: Vec<f64>,
     /// Per-phase wall-clock accumulator (disabled unless a telemetry
     /// sink asks for traces).
     phases: PhaseAccumulator,
@@ -177,8 +179,10 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator; the optimisation weights are the true mode
     /// probabilities when `config.probability_aware`, uniform otherwise.
     pub fn new(system: &'a System, config: &'a SynthesisConfig) -> Self {
+        let probabilities: Vec<f64> =
+            system.omsm().modes().map(|(_, m)| m.probability()).collect();
         let weights = if config.probability_aware {
-            system.omsm().modes().map(|(_, m)| m.probability()).collect()
+            probabilities.clone()
         } else {
             momsynth_power::uniform_weights(system)
         };
@@ -186,6 +190,7 @@ impl<'a> Evaluator<'a> {
             system,
             config,
             weights,
+            probabilities,
             phases: PhaseAccumulator::disabled(),
             dvs_iterations: Cell::new(0),
             scratch: RefCell::new(EvalScratch::default()),
@@ -273,18 +278,14 @@ impl<'a> Evaluator<'a> {
                 Some(options) => {
                     let dvs_scratch = &mut scratch.dvs;
                     let scaled = self.phases.measure(Phase::VoltageScaling, || {
-                        scale_mode_with(system, &schedule, options, dvs_scratch)
+                        scale_mode_owned(system, schedule, options, dvs_scratch)
                     });
                     self.dvs_iterations
                         .set(self.dvs_iterations.get() + scaled.iterations() as u64);
-                    factors.push(scaled.energy_factors().to_vec());
-                    voltage_schedules.push(
-                        m.graph()
-                            .task_ids()
-                            .map(|t| scaled.task_voltage(t).cloned())
-                            .collect(),
-                    );
-                    schedules.push(scaled.schedule().clone());
+                    let (schedule, voltages, task_factors) = scaled.into_parts();
+                    factors.push(task_factors);
+                    voltage_schedules.push(voltages);
+                    schedules.push(schedule);
                 }
                 None => {
                     factors.push(vec![1.0; m.graph().task_count()]);
@@ -300,9 +301,7 @@ impl<'a> Evaluator<'a> {
             .zip(&factors)
             .map(|(s, f)| ModeImplementation::scaled(s, f))
             .collect();
-        let true_probabilities: Vec<f64> =
-            system.omsm().modes().map(|(_, m)| m.probability()).collect();
-        let power = power_report_with(system, &implementations, &true_probabilities);
+        let power = power_report_with(system, &implementations, &self.probabilities);
         let weighted: Watts = power
             .modes
             .iter()
@@ -310,15 +309,13 @@ impl<'a> Evaluator<'a> {
             .map(|(m, &w)| m.total() * w)
             .sum();
 
-        let total_lateness: Seconds = schedules
-            .iter()
-            .map(|s| s.total_lateness(system.omsm().mode(s.mode()).graph()))
-            .sum();
+        let mut total_lateness = Seconds::ZERO;
         let mut timing_penalty = 1.0;
         for s in &schedules {
             let graph = system.omsm().mode(s.mode()).graph();
-            timing_penalty +=
-                self.config.weights.timing * (s.total_lateness(graph) / graph.period());
+            let lateness = s.total_lateness(graph);
+            total_lateness += lateness;
+            timing_penalty += self.config.weights.timing * (lateness / graph.period());
         }
 
         let mut area_overruns = Vec::new();

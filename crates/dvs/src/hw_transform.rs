@@ -60,34 +60,72 @@ impl VirtualTask {
 /// member task has no implementation on `pe` (both indicate caller bugs —
 /// schedules produced by `momsynth-sched` are always consistent).
 pub fn virtual_tasks(system: &System, schedule: &Schedule, pe: PeId) -> Vec<VirtualTask> {
-    let graph = system.omsm().mode(schedule.mode()).graph();
-    let mut entries: Vec<(TaskId, Seconds, Seconds)> = schedule
-        .tasks()
-        .filter(|e| e.pe == pe)
-        .map(|e| (e.task, e.start, e.finish()))
-        .collect();
-    entries.sort_by(|a, b| a.1.value().total_cmp(&b.1.value()).then(a.0.cmp(&b.0)));
+    let mut groups = Vec::new();
+    for_each_virtual_task(system, schedule, pe, &mut Vec::new(), |members, start, end, energy| {
+        groups.push(VirtualTask {
+            members: members.iter().map(|m| m.task).collect(),
+            start,
+            end,
+            energy,
+        });
+    });
+    groups
+}
 
-    let mut groups: Vec<VirtualTask> = Vec::new();
-    for (task, start, finish) in entries {
-        let energy = {
-            let ty = graph.task(task).task_type();
-            system
-                .tech()
-                .impl_of(ty, pe)
-                .expect("scheduled task has an implementation on its PE")
-                .energy()
-        };
-        match groups.last_mut() {
-            Some(last) if start.value() < last.end.value() - 1e-15 => {
-                last.members.push(task);
-                last.end = last.end.max(finish);
-                last.energy += energy;
+/// One hardware execution as [`for_each_virtual_task`] orders it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Execution {
+    pub(crate) task: TaskId,
+    pub(crate) start: Seconds,
+    pub(crate) finish: Seconds,
+}
+
+/// The allocation-free core of [`virtual_tasks`]: sorts `pe`'s executions
+/// into `order` (a reusable buffer) and calls `visit` once per virtual
+/// task, in start order, with its members, span and energy.
+pub(crate) fn for_each_virtual_task(
+    system: &System,
+    schedule: &Schedule,
+    pe: PeId,
+    order: &mut Vec<Execution>,
+    mut visit: impl FnMut(&[Execution], Seconds, Seconds, Joules),
+) {
+    let graph = system.omsm().mode(schedule.mode()).graph();
+    order.clear();
+    order.extend(schedule.tasks().filter(|e| e.pe == pe).map(|e| Execution {
+        task: e.task,
+        start: e.start,
+        finish: e.finish(),
+    }));
+    // Task ids are distinct, so the unstable sort is deterministic.
+    order.sort_unstable_by(|a, b| {
+        a.start.value().total_cmp(&b.start.value()).then(a.task.cmp(&b.task))
+    });
+
+    let mut first = 0;
+    let mut end = Seconds::ZERO;
+    let mut energy = Joules::ZERO;
+    for (i, e) in order.iter().enumerate() {
+        let e_task = system
+            .tech()
+            .impl_of(graph.task(e.task).task_type(), pe)
+            .expect("scheduled task has an implementation on its PE")
+            .energy();
+        if i > 0 && e.start.value() < end.value() - 1e-15 {
+            end = end.max(e.finish);
+            energy += e_task;
+        } else {
+            if i > 0 {
+                visit(&order[first..i], order[first].start, end, energy);
             }
-            _ => groups.push(VirtualTask { members: vec![task], start, end: finish, energy }),
+            first = i;
+            end = e.finish;
+            energy = e_task;
         }
     }
-    groups
+    if first < order.len() {
+        visit(&order[first..], order[first].start, end, energy);
+    }
 }
 
 #[cfg(test)]

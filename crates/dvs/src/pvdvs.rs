@@ -13,15 +13,15 @@
 //! Activities on single-rail DVS hardware are first merged into virtual
 //! tasks (see [`crate::hw_transform`]) so all cores scale together.
 
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use momsynth_model::arch::DvsCapability;
-use momsynth_model::ids::{CommId, TaskId};
+use momsynth_model::ids::{CommId, PeId, TaskId};
 use momsynth_model::units::{Joules, Seconds};
 use momsynth_model::System;
-use momsynth_sched::{ActivityId, Schedule, ScheduledComm, ScheduledTask};
+use momsynth_sched::{ActivityId, Schedule};
 
-use crate::hw_transform::virtual_tasks;
+use crate::hw_transform::{for_each_virtual_task, Execution};
 use crate::voltage::VoltageModel;
 use crate::vschedule::VoltageSchedule;
 
@@ -95,6 +95,13 @@ impl ScaledMode {
         &self.task_energy_factors
     }
 
+    /// Splits the result into the stretched schedule, the per-task
+    /// voltage schedules and the per-task energy factors (both indexed by
+    /// task id), moving them out without copies.
+    pub fn into_parts(self) -> (Schedule, Vec<Option<VoltageSchedule>>, Vec<f64>) {
+        (self.schedule, self.task_voltages, self.task_energy_factors)
+    }
+
     /// Number of greedy extension steps performed.
     pub fn iterations(&self) -> usize {
         self.iterations
@@ -153,15 +160,30 @@ struct GroupMember {
 enum UnitPayload {
     Task(TaskId),
     Comm(CommId),
-    Group { members: Vec<GroupMember> },
+    /// The group's members, a range of the scratch's `members` buffer.
+    Group(Range<usize>),
 }
 
-#[derive(Debug, Clone)]
+/// A scalable unit's rail. The discrete levels stay in the system and are
+/// looked up through `pe` only when the extension is snapped.
+#[derive(Debug, Clone, Copy)]
 struct ScaleInfo {
-    cap: DvsCapability,
+    pe: PeId,
     model: VoltageModel,
     energy: Joules,
     max_stretch: f64,
+}
+
+impl ScaleInfo {
+    fn cap<'s>(&self, system: &'s System) -> &'s DvsCapability {
+        system.arch().pe(self.pe).dvs().expect("scalable units sit on DVS PEs")
+    }
+
+    /// Dynamic energy of the unit stretched from `nominal` to `dur`, at the
+    /// continuous voltage.
+    fn energy_at(&self, nominal: Seconds, dur: Seconds) -> f64 {
+        self.energy.value() * self.model.energy_factor_for_stretch(dur / nominal)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -173,18 +195,169 @@ struct Unit {
     scale: Option<ScaleInfo>,
 }
 
-/// Reusable buffers for [`scale_mode_with`]: the greedy slack
-/// distribution recomputes earliest/latest finish times (`es`/`ef`/`lf`
-/// slot vectors) on every iteration, so hoisting them out of the loop and
-/// across calls removes the scaler's dominant allocation churn. Buffers
-/// are cleared on entry; reuse can never leak state between calls.
+/// A scalable unit's last priced extension by `delta`. It stays valid
+/// while the unit's duration and the offered `delta` are unchanged, since
+/// the gain is a function of those two alone.
+#[derive(Debug, Clone, Copy)]
+struct Gain {
+    delta: Seconds,
+    gain: f64,
+    e_new: f64,
+}
+
+/// The unit constraint graph in compressed sparse row form, with a
+/// topological order and each unit's place in it.
+#[derive(Debug, Default)]
+struct UnitGraph {
+    succ_start: Vec<usize>,
+    succ: Vec<usize>,
+    pred_start: Vec<usize>,
+    pred: Vec<usize>,
+    topo: Vec<usize>,
+    pos: Vec<usize>,
+    indegree: Vec<usize>,
+}
+
+impl UnitGraph {
+    /// Rebuilds the graph over `n` units from `edges`, which it sorts and
+    /// deduplicates. Returns `false` when the edges form a cycle.
+    fn rebuild(&mut self, n: usize, edges: &mut Vec<(usize, usize)>) -> bool {
+        edges.sort_unstable();
+        edges.dedup();
+        self.succ_start.clear();
+        self.succ_start.resize(n + 1, 0);
+        self.pred_start.clear();
+        self.pred_start.resize(n + 1, 0);
+        for &(a, b) in edges.iter() {
+            self.succ_start[a + 1] += 1;
+            self.pred_start[b + 1] += 1;
+        }
+        for i in 0..n {
+            self.succ_start[i + 1] += self.succ_start[i];
+            self.pred_start[i + 1] += self.pred_start[i];
+        }
+        // Edges are sorted by source, so they already list each unit's
+        // successors in ascending order; a counting sort by target does
+        // the same for predecessors.
+        self.succ.clear();
+        self.succ.extend(edges.iter().map(|&(_, b)| b));
+        self.pred.clear();
+        self.pred.resize(edges.len(), 0);
+        let next = &mut self.indegree;
+        next.clear();
+        next.extend_from_slice(&self.pred_start[..n]);
+        for &(a, b) in edges.iter() {
+            self.pred[next[b]] = a;
+            next[b] += 1;
+        }
+
+        // Kahn's algorithm; the queue is the order.
+        self.indegree.clear();
+        self.indegree.extend(self.pred_start.windows(2).map(|w| w[1] - w[0]));
+        self.topo.clear();
+        self.topo.extend((0..n).filter(|&u| self.indegree[u] == 0));
+        let mut head = 0;
+        while head < self.topo.len() {
+            let u = self.topo[head];
+            head += 1;
+            for i in self.succ_start[u]..self.succ_start[u + 1] {
+                let s = self.succ[i];
+                self.indegree[s] -= 1;
+                if self.indegree[s] == 0 {
+                    self.topo.push(s);
+                }
+            }
+        }
+        if self.topo.len() != n {
+            return false;
+        }
+        self.pos.clear();
+        self.pos.resize(n, 0);
+        for (i, &u) in self.topo.iter().enumerate() {
+            self.pos[u] = i;
+        }
+        true
+    }
+
+    fn succs(&self, u: usize) -> &[usize] {
+        &self.succ[self.succ_start[u]..self.succ_start[u + 1]]
+    }
+
+    fn preds(&self, u: usize) -> &[usize] {
+        &self.pred[self.pred_start[u]..self.pred_start[u + 1]]
+    }
+
+    fn earliest_start(&self, ef: &[Seconds], u: usize) -> Seconds {
+        self.preds(u).iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max)
+    }
+
+    fn latest_finish(&self, units: &[Unit], lf: &[Seconds], u: usize) -> Seconds {
+        self.succs(u).iter().fold(units[u].deadline, |acc, &s| acc.min(lf[s] - units[s].dur))
+    }
+
+    /// Re-runs the forward recurrence (earliest start and finish) on the
+    /// order from position `from` on.
+    fn forward_from(&self, units: &[Unit], from: usize, es: &mut [Seconds], ef: &mut [Seconds]) {
+        for &u in &self.topo[from..] {
+            es[u] = self.earliest_start(ef, u);
+            ef[u] = es[u] + units[u].dur;
+        }
+    }
+
+    /// Re-runs the backward recurrence (latest finish) on the order before
+    /// position `to`, last unit first.
+    fn backward_before(&self, units: &[Unit], to: usize, lf: &mut [Seconds]) {
+        for &u in self.topo[..to].iter().rev() {
+            lf[u] = self.latest_finish(units, lf, u);
+        }
+    }
+
+    /// Brings `es`/`ef`/`lf` up to date after `units[u].dur` grew. Only
+    /// `u` and its descendants, which all come after it in the order, can
+    /// finish later, and only its ancestors, which all come before it, can
+    /// have to finish earlier. Re-running a recurrence on a unit whose
+    /// inputs did not change reproduces its value, and the recurrences use
+    /// exact `max`/`min` and the same `start + dur`, so the result equals a
+    /// full recomputation bit for bit. Per-unit dirty flags would skip the
+    /// unchanged units, but on synthesis schedules, where most activity is
+    /// chained through one processor, nearly every unit changes and the
+    /// flag tests cost more than they save.
+    fn propagate(
+        &self,
+        units: &[Unit],
+        u: usize,
+        es: &mut [Seconds],
+        ef: &mut [Seconds],
+        lf: &mut [Seconds],
+    ) {
+        self.forward_from(units, self.pos[u], es, ef);
+        self.backward_before(units, self.pos[u], lf);
+    }
+}
+
+/// Reusable working memory for [`scale_mode_with`] and
+/// [`scale_mode_owned`]: the scaling units and their group members, the
+/// constraint edges and the graph built from them, the slack vectors
+/// (`es`/`ef`/`lf`) the greedy loop keeps up to date incrementally, and
+/// each unit's current energy and cached extension gain. Once the
+/// buffers have grown to the largest mode seen, a call allocates only the
+/// voltage schedules it fits and its result. Every buffer is refilled on
+/// entry, so reuse can never leak state between calls.
 #[derive(Debug, Default)]
 pub struct DvsScratch {
+    units: Vec<Unit>,
+    members: Vec<GroupMember>,
+    executions: Vec<Execution>,
+    task_unit: Vec<usize>,
+    comm_unit: Vec<Option<usize>>,
+    edges: Vec<(usize, usize)>,
+    graph: UnitGraph,
+    scalable: Vec<usize>,
     es: Vec<Seconds>,
     ef: Vec<Seconds>,
     lf: Vec<Seconds>,
-    task_unit: Vec<usize>,
-    comm_unit: Vec<Option<usize>>,
+    e_now: Vec<f64>,
+    gains: Vec<Option<Gain>>,
 }
 
 /// Applies PV-DVS to one mode's schedule.
@@ -198,7 +371,7 @@ pub struct DvsScratch {
 /// finds no slack and returns nominal timing.
 ///
 /// Allocates fresh working buffers per call; the synthesis hot loop uses
-/// [`scale_mode_with`] with a reusable [`DvsScratch`] instead.
+/// [`scale_mode_owned`] with a reusable [`DvsScratch`] instead.
 pub fn scale_mode(system: &System, schedule: &Schedule, options: &DvsOptions) -> ScaledMode {
     scale_mode_with(system, schedule, options, &mut DvsScratch::default())
 }
@@ -211,69 +384,206 @@ pub fn scale_mode_with(
     options: &DvsOptions,
     scratch: &mut DvsScratch,
 ) -> ScaledMode {
-    scale_mode_inner(system, schedule, options, options.scale_hw, scratch)
+    scale_mode_owned(system, schedule.clone(), options, scratch)
 }
 
-fn scale_mode_inner(
+/// [`scale_mode_with`] on an owned schedule, which is retimed in place
+/// and returned inside the [`ScaledMode`]; produces the identical scaling
+/// without copying the schedule.
+pub fn scale_mode_owned(
     system: &System,
-    schedule: &Schedule,
+    mut schedule: Schedule,
     options: &DvsOptions,
-    allow_groups: bool,
     scratch: &mut DvsScratch,
 ) -> ScaledMode {
     let graph = system.omsm().mode(schedule.mode()).graph();
     let period = graph.period();
     let n = graph.task_count();
 
-    // ---- Build units -----------------------------------------------------
-    let mut units: Vec<Unit> = Vec::new();
-    let task_unit = &mut scratch.task_unit;
+    // ---- Units and the constraint graph. Virtual-task merging can, in
+    // rare interleavings, create cycles; fall back to group-free scaling
+    // then.
+    let mut allow_groups = options.scale_hw;
+    while !build_graph(system, &schedule, allow_groups, scratch) {
+        assert!(allow_groups, "group-free unit graph must be acyclic");
+        allow_groups = false;
+    }
+    let DvsScratch { units, members, graph: g, scalable, es, ef, lf, e_now, gains, .. } = scratch;
+    let units = units.as_mut_slice();
+
+    // ---- Greedy slack distribution ---------------------------------------
+    scalable.clear();
+    scalable.extend(
+        (0..units.len()).filter(|&u| units[u].scale.is_some() && units[u].nominal.value() > 0.0),
+    );
+    e_now.clear();
+    e_now.resize(units.len(), 0.0);
+    for &u in scalable.iter() {
+        let unit = &units[u];
+        e_now[u] = unit.scale.expect("scalable").energy_at(unit.nominal, unit.dur);
+    }
+    gains.clear();
+    gains.resize(units.len(), None);
+    for slots in [&mut *es, &mut *ef, &mut *lf] {
+        slots.clear();
+        slots.resize(units.len(), Seconds::ZERO);
+    }
+    g.forward_from(units, 0, es, ef);
+    g.backward_before(units, units.len(), lf);
+
+    let quantum = period / options.quantum_divisor.max(1.0);
+    let eps = period * 1e-9;
+    let mut iterations = 0usize;
+    while iterations < options.max_iterations {
+        // Scan in unit order; the strict `>` keeps the first best unit.
+        let mut best: Option<(usize, Seconds, f64)> = None;
+        for &u in scalable.iter() {
+            let unit = &units[u];
+            let scale = unit.scale.expect("scalable");
+            let slack = lf[u] - ef[u];
+            let room = unit.nominal * scale.max_stretch - unit.dur;
+            let delta = quantum.min(slack).min(room);
+            if delta <= eps {
+                continue;
+            }
+            let gain = match gains[u] {
+                Some(cached) if cached.delta == delta => cached.gain,
+                _ => {
+                    let e_new = scale.energy_at(unit.nominal, unit.dur + delta);
+                    let gain = (e_now[u] - e_new) / delta.value();
+                    gains[u] = Some(Gain { delta, gain, e_new });
+                    gain
+                }
+            };
+            if gain > 0.0 && best.is_none_or(|(_, _, b)| gain > b) {
+                best = Some((u, delta, gain));
+            }
+        }
+        let Some((u, delta, _)) = best else { break };
+        units[u].dur += delta;
+        // The chosen extension priced exactly the new duration's energy.
+        e_now[u] = gains[u].take().expect("the chosen unit was priced").e_new;
+        g.propagate(units, u, es, ef, lf);
+        iterations += 1;
+    }
+
+    // ---- Snap to discrete levels and retime the schedule -----------------
+    let mut task_voltages: Vec<Option<VoltageSchedule>> = vec![None; n];
+    let mut task_factors = vec![1.0f64; n];
+
+    // First pass: apply snapped durations so the final forward pass uses
+    // realised (discrete) times.
+    for unit in units.iter_mut() {
+        let Some(scale) = &unit.scale else { continue };
+        if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
+            unit.dur = unit.nominal;
+            continue;
+        }
+        let vs = VoltageSchedule::fit(scale.cap(system), &scale.model, unit.nominal, unit.dur);
+        unit.dur = vs.total_time();
+    }
+    g.forward_from(units, 0, es, ef);
+
+    // The second `fit` snaps the already-snapped duration again; its
+    // result can differ from the first pass's, and that is the result the
+    // scaler has always reported.
+    for (u, unit) in units.iter().enumerate() {
+        match &unit.payload {
+            UnitPayload::Task(t) => {
+                let entry = schedule.task_mut(*t);
+                entry.start = es[u];
+                if let Some(scale) = &unit.scale {
+                    let vs = VoltageSchedule::fit(
+                        scale.cap(system),
+                        &scale.model,
+                        unit.nominal,
+                        unit.dur,
+                    );
+                    entry.exec_time = vs.total_time();
+                    task_factors[t.index()] = vs.energy_factor(&scale.model);
+                    task_voltages[t.index()] = Some(vs);
+                }
+            }
+            UnitPayload::Comm(c) => {
+                schedule.comm_mut(*c).expect("comm unit exists only for remote comms").start =
+                    es[u];
+            }
+            UnitPayload::Group(range) => {
+                let scale = unit.scale.as_ref().expect("groups are always scalable");
+                let k = if unit.nominal.value() > 0.0 { unit.dur / unit.nominal } else { 1.0 };
+                for m in &members[range.clone()] {
+                    let entry = schedule.task_mut(m.task);
+                    entry.start = es[u] + m.rel_start * k;
+                    let vs = VoltageSchedule::fit(
+                        scale.cap(system),
+                        &scale.model,
+                        m.nominal,
+                        m.nominal * k,
+                    );
+                    entry.exec_time = vs.total_time();
+                    task_factors[m.task.index()] = vs.energy_factor(&scale.model);
+                    task_voltages[m.task.index()] = Some(vs);
+                }
+            }
+        }
+    }
+
+    ScaledMode { schedule, task_voltages, task_energy_factors: task_factors, iterations }
+}
+
+/// Fills `scratch` with the scaling units of `schedule` (merging DVS
+/// hardware activity into virtual tasks when `allow_groups`) and the
+/// constraint graph over them: precedence edges from the task graph,
+/// through remote communications where they exist, plus resource-order
+/// edges from the per-resource sequences. Returns `false` when the graph
+/// has a cycle.
+fn build_graph(
+    system: &System,
+    schedule: &Schedule,
+    allow_groups: bool,
+    scratch: &mut DvsScratch,
+) -> bool {
+    let graph = system.omsm().mode(schedule.mode()).graph();
+    let period = graph.period();
+    let DvsScratch { units, members, executions, task_unit, comm_unit, edges, .. } = scratch;
+    units.clear();
+    members.clear();
     task_unit.clear();
-    task_unit.resize(n, usize::MAX);
-    let comm_unit = &mut scratch.comm_unit;
+    task_unit.resize(graph.task_count(), usize::MAX);
     comm_unit.clear();
     comm_unit.resize(graph.comm_count(), None);
 
     if allow_groups {
-        for pe in system.arch().dvs_pes().collect::<Vec<_>>() {
-            if !system.arch().pe(pe).kind().is_hardware() {
+        for pe in system.arch().dvs_pes() {
+            let info = system.arch().pe(pe);
+            if !info.kind().is_hardware() {
                 continue;
             }
-            let cap = system.arch().pe(pe).dvs().expect("dvs_pes yields DVS PEs").clone();
-            let model = VoltageModel::from_capability(&cap);
+            let cap = info.dvs().expect("dvs_pes yields DVS PEs");
+            let model = VoltageModel::from_capability(cap);
             let max_stretch = model.max_stretch(cap.v_min());
-            for group in virtual_tasks(system, schedule, pe) {
+            for_each_virtual_task(system, schedule, pe, executions, |group, start, end, energy| {
                 let idx = units.len();
+                let first = members.len();
                 let mut deadline = period;
-                let members: Vec<GroupMember> = group
-                    .members
-                    .iter()
-                    .map(|&t| {
-                        deadline = deadline.min(graph.effective_deadline(t));
-                        let e = schedule.task(t);
-                        GroupMember {
-                            task: t,
-                            rel_start: e.start - group.start,
-                            nominal: e.exec_time,
-                        }
-                    })
-                    .collect();
-                for m in &members {
-                    task_unit[m.task.index()] = idx;
+                for e in group {
+                    deadline = deadline.min(graph.effective_deadline(e.task));
+                    task_unit[e.task.index()] = idx;
+                    let entry = schedule.task(e.task);
+                    members.push(GroupMember {
+                        task: e.task,
+                        rel_start: entry.start - start,
+                        nominal: entry.exec_time,
+                    });
                 }
                 units.push(Unit {
-                    payload: UnitPayload::Group { members },
+                    payload: UnitPayload::Group(first..members.len()),
                     deadline,
-                    nominal: group.duration(),
-                    dur: group.duration(),
-                    scale: Some(ScaleInfo {
-                        cap: cap.clone(),
-                        model,
-                        energy: group.energy,
-                        max_stretch,
-                    }),
+                    nominal: end - start,
+                    dur: end - start,
+                    scale: Some(ScaleInfo { pe, model, energy, max_stretch }),
                 });
-            }
+            });
         }
     }
 
@@ -292,7 +602,7 @@ fn scale_mode_inner(
                     .expect("scheduled task has an implementation")
                     .energy();
                 Some(ScaleInfo {
-                    cap: cap.clone(),
+                    pe: entry.pe,
                     model,
                     energy,
                     max_stretch: model.max_stretch(cap.v_min()),
@@ -300,8 +610,7 @@ fn scale_mode_inner(
             }
             _ => None,
         };
-        let idx = units.len();
-        task_unit[t.index()] = idx;
+        task_unit[t.index()] = units.len();
         units.push(Unit {
             payload: UnitPayload::Task(t),
             deadline: graph.effective_deadline(t),
@@ -312,8 +621,7 @@ fn scale_mode_inner(
     }
 
     for entry in schedule.remote_comms() {
-        let idx = units.len();
-        comm_unit[entry.comm.index()] = Some(idx);
+        comm_unit[entry.comm.index()] = Some(units.len());
         units.push(Unit {
             payload: UnitPayload::Comm(entry.comm),
             deadline: period,
@@ -323,23 +631,22 @@ fn scale_mode_inner(
         });
     }
 
-    // ---- Constraint edges -------------------------------------------------
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
+    edges.clear();
     for (c, edge) in graph.comms() {
         let su = task_unit[edge.src().index()];
         let du = task_unit[edge.dst().index()];
         match comm_unit[c.index()] {
             Some(cu) => {
                 if su != cu {
-                    edges.insert((su, cu));
+                    edges.push((su, cu));
                 }
                 if cu != du {
-                    edges.insert((cu, du));
+                    edges.push((cu, du));
                 }
             }
             None => {
                 if su != du {
-                    edges.insert((su, du));
+                    edges.push((su, du));
                 }
             }
         }
@@ -349,167 +656,11 @@ fn scale_mode_inner(
             let ua = activity_unit(pair[0], task_unit, comm_unit);
             let ub = activity_unit(pair[1], task_unit, comm_unit);
             if ua != ub {
-                edges.insert((ua, ub));
+                edges.push((ua, ub));
             }
         }
     }
-
-    // ---- Topological order (Kahn). Virtual-task merging can, in rare
-    // interleavings, create cycles; fall back to group-free scaling then.
-    let topo = match topo_order(units.len(), &edges) {
-        Some(order) => order,
-        None => {
-            debug_assert!(allow_groups, "group-free unit graph must be acyclic");
-            return scale_mode_inner(system, schedule, options, false, scratch);
-        }
-    };
-    let succs: Vec<Vec<usize>> = {
-        let mut s = vec![Vec::new(); units.len()];
-        for &(a, b) in &edges {
-            s[a].push(b);
-        }
-        s
-    };
-    let preds: Vec<Vec<usize>> = {
-        let mut p = vec![Vec::new(); units.len()];
-        for &(a, b) in &edges {
-            p[b].push(a);
-        }
-        p
-    };
-
-    // The slot vectors are refilled from scratch buffers on every greedy
-    // iteration instead of being reallocated.
-    let forward = |units: &[Unit], es: &mut Vec<Seconds>, ef: &mut Vec<Seconds>| {
-        es.clear();
-        es.resize(units.len(), Seconds::ZERO);
-        ef.clear();
-        ef.resize(units.len(), Seconds::ZERO);
-        for &u in &topo {
-            let start = preds[u].iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max);
-            es[u] = start;
-            ef[u] = start + units[u].dur;
-        }
-    };
-    let backward = |units: &[Unit], lf: &mut Vec<Seconds>| {
-        lf.clear();
-        lf.extend(units.iter().map(|u| u.deadline));
-        for &u in topo.iter().rev() {
-            for &s in &succs[u] {
-                lf[u] = lf[u].min(lf[s] - units[s].dur);
-            }
-        }
-    };
-
-    // ---- Greedy slack distribution ---------------------------------------
-    let quantum = period / options.quantum_divisor.max(1.0);
-    let eps = period * 1e-9;
-    let mut iterations = 0usize;
-    while iterations < options.max_iterations {
-        forward(&units, &mut scratch.es, &mut scratch.ef);
-        backward(&units, &mut scratch.lf);
-        let ef = &scratch.ef;
-        let lf = &scratch.lf;
-        let mut best: Option<(usize, Seconds, f64)> = None;
-        for (u, unit) in units.iter().enumerate() {
-            let Some(scale) = &unit.scale else { continue };
-            if unit.nominal.value() <= 0.0 {
-                continue;
-            }
-            let slack = lf[u] - ef[u];
-            let room = unit.nominal * scale.max_stretch - unit.dur;
-            let delta = quantum.min(slack).min(room);
-            if delta <= eps {
-                continue;
-            }
-            let k_now = unit.dur / unit.nominal;
-            let k_new = (unit.dur + delta) / unit.nominal;
-            let e_now = scale.energy.value() * scale.model.energy_factor_for_stretch(k_now);
-            let e_new = scale.energy.value() * scale.model.energy_factor_for_stretch(k_new);
-            let gain = (e_now - e_new) / delta.value();
-            if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((u, delta, gain));
-            }
-        }
-        let Some((u, delta, _)) = best else { break };
-        units[u].dur += delta;
-        iterations += 1;
-    }
-
-    // ---- Snap to discrete levels and rebuild the schedule -----------------
-    let mut task_voltages: Vec<Option<VoltageSchedule>> = vec![None; n];
-    let mut task_factors = vec![1.0f64; n];
-    let mut new_tasks: Vec<ScheduledTask> =
-        schedule.tasks().cloned().collect::<Vec<_>>();
-    new_tasks.sort_by_key(|e| e.task);
-    let mut new_comms: Vec<Option<ScheduledComm>> =
-        graph.comm_ids().map(|c| schedule.comm(c).cloned()).collect();
-
-    // First pass: apply snapped durations so the final forward pass uses
-    // realised (discrete) times.
-    for unit in &mut units {
-        let Some(scale) = &unit.scale else { continue };
-        if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
-            unit.dur = unit.nominal;
-            continue;
-        }
-        let vs = VoltageSchedule::fit(&scale.cap, &scale.model, unit.nominal, unit.dur);
-        unit.dur = vs.total_time();
-    }
-    forward(&units, &mut scratch.es, &mut scratch.ef);
-    let es = &scratch.es;
-
-    for (u, unit) in units.iter().enumerate() {
-        match &unit.payload {
-            UnitPayload::Task(t) => {
-                let entry = &mut new_tasks[t.index()];
-                entry.start = es[u];
-                if let Some(scale) = &unit.scale {
-                    let vs =
-                        VoltageSchedule::fit(&scale.cap, &scale.model, unit.nominal, unit.dur);
-                    entry.exec_time = vs.total_time();
-                    task_factors[t.index()] = vs.energy_factor(&scale.model);
-                    task_voltages[t.index()] = Some(vs);
-                }
-            }
-            UnitPayload::Comm(c) => {
-                let entry = new_comms[c.index()]
-                    .as_mut()
-                    .expect("comm unit exists only for remote comms");
-                entry.start = es[u];
-            }
-            UnitPayload::Group { members, .. } => {
-                let scale = unit.scale.as_ref().expect("groups are always scalable");
-                let k = if unit.nominal.value() > 0.0 { unit.dur / unit.nominal } else { 1.0 };
-                for m in members {
-                    let entry = &mut new_tasks[m.task.index()];
-                    entry.start = es[u] + m.rel_start * k;
-                    let vs = VoltageSchedule::fit(
-                        &scale.cap,
-                        &scale.model,
-                        m.nominal,
-                        m.nominal * k,
-                    );
-                    entry.exec_time = vs.total_time();
-                    task_factors[m.task.index()] = vs.energy_factor(&scale.model);
-                    task_voltages[m.task.index()] = Some(vs);
-                }
-            }
-        }
-    }
-
-    let new_schedule = Schedule::from_parts(
-        schedule.mode(),
-        new_tasks,
-        new_comms,
-        schedule.sequences().to_vec(),
-    );
-    ScaledMode {
-        schedule: new_schedule,
-        task_voltages,
-        task_energy_factors: task_factors,
-        iterations,
-    }
+    scratch.graph.rebuild(scratch.units.len(), &mut scratch.edges)
 }
 
 fn activity_unit(
@@ -523,30 +674,6 @@ fn activity_unit(
             comm_unit[c.index()].expect("sequences only contain scheduled remote comms")
         }
     }
-}
-
-fn topo_order(n: usize, edges: &BTreeSet<(usize, usize)>) -> Option<Vec<usize>> {
-    let mut indegree = vec![0usize; n];
-    let mut succs = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        indegree[b] += 1;
-        succs[a].push(b);
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        order.push(u);
-        for &s in &succs[u] {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 #[cfg(test)]

@@ -132,6 +132,15 @@ impl Schedule {
         &self.tasks[task.index()]
     }
 
+    /// Returns the scheduled entry of `task` for in-place retiming.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is out of range.
+    pub fn task_mut(&mut self, task: TaskId) -> &mut ScheduledTask {
+        &mut self.tasks[task.index()]
+    }
+
     /// Iterates over all scheduled tasks in task-id order.
     pub fn tasks(&self) -> impl Iterator<Item = &ScheduledTask> + '_ {
         self.tasks.iter()
@@ -144,6 +153,16 @@ impl Schedule {
     /// Panics if `comm` is out of range.
     pub fn comm(&self, comm: CommId) -> Option<&ScheduledComm> {
         self.comms[comm.index()].as_ref()
+    }
+
+    /// Returns the scheduled entry of `comm` for in-place retiming, or
+    /// `None` for a local transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `comm` is out of range.
+    pub fn comm_mut(&mut self, comm: CommId) -> Option<&mut ScheduledComm> {
+        self.comms[comm.index()].as_mut()
     }
 
     /// Iterates over all remote communications.
