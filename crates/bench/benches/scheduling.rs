@@ -1,12 +1,15 @@
 //! Criterion timing of the scheduling substrate: mobility analysis, list
 //! scheduling and core-allocation derivation on a mid-size benchmark.
+//! The `reused_scratch` and `shared_analysis` cases measure the paths the
+//! evaluator takes; the others allocate per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use momsynth_core::{derive_allocation, AllocOptions};
 use momsynth_gen::suite::mul;
 use momsynth_model::ids::ModeId;
 use momsynth_sched::{
-    schedule_mode, CoreAllocation, Priority, SchedulerOptions, SystemMapping, TimingAnalysis,
+    schedule_mode, schedule_mode_with, schedule_mode_with_analysis, CoreAllocation, ListScratch,
+    Priority, SchedulerOptions, SystemMapping, TimingAnalysis,
 };
 
 fn scheduling(c: &mut Criterion) {
@@ -28,6 +31,34 @@ fn scheduling(c: &mut Criterion) {
     group.bench_function("list_schedule_mobility", |b| {
         b.iter(|| {
             schedule_mode(&system, mode, &mapping, &alloc, SchedulerOptions::default()).unwrap()
+        })
+    });
+    let mut scratch = ListScratch::default();
+    group.bench_function("list_schedule_mobility_reused_scratch", |b| {
+        b.iter(|| {
+            schedule_mode_with(
+                &system,
+                mode,
+                &mapping,
+                &alloc,
+                SchedulerOptions::default(),
+                &mut scratch,
+            )
+            .unwrap()
+        })
+    });
+    let analysis = TimingAnalysis::analyze(&system, mode, &mapping);
+    group.bench_function("list_schedule_mobility_shared_analysis", |b| {
+        b.iter(|| {
+            schedule_mode_with_analysis(
+                &system,
+                &mapping,
+                &alloc,
+                &analysis,
+                SchedulerOptions::default(),
+                &mut scratch,
+            )
+            .unwrap()
         })
     });
     group.bench_function("list_schedule_fifo", |b| {

@@ -38,6 +38,39 @@ pub fn derive_allocation(
     mapping: &SystemMapping,
     options: &AllocOptions,
 ) -> CoreAllocation {
+    let mut analyses = Vec::new();
+    if options.replicate {
+        analyze_modes(system, mapping, &mut analyses);
+    }
+    derive_allocation_with(system, mapping, options, &analyses)
+}
+
+/// Fills `analyses` with the timing analysis of every mode of `system`
+/// under `mapping`, indexed by mode, reanalysing the entries already
+/// there in place.
+pub(crate) fn analyze_modes(
+    system: &System,
+    mapping: &SystemMapping,
+    analyses: &mut Vec<TimingAnalysis>,
+) {
+    analyses.truncate(system.omsm().mode_count());
+    for mode in system.omsm().mode_ids() {
+        match analyses.get_mut(mode.index()) {
+            Some(analysis) => analysis.reanalyze(system, mode, mapping),
+            None => analyses.push(TimingAnalysis::analyze(system, mode, mapping)),
+        }
+    }
+}
+
+/// [`derive_allocation`] with the per-mode timing analyses under
+/// `mapping` supplied, as [`analyze_modes`] fills them. They are read
+/// only when `options.replicate` is set.
+pub(crate) fn derive_allocation_with(
+    system: &System,
+    mapping: &SystemMapping,
+    options: &AllocOptions,
+    analyses: &[TimingAnalysis],
+) -> CoreAllocation {
     let mut alloc = CoreAllocation::minimal(system, mapping);
     if !options.replicate {
         return alloc;
@@ -45,7 +78,7 @@ pub fn derive_allocation(
 
     for (mode, m) in system.omsm().modes() {
         let graph = m.graph();
-        let analysis = TimingAnalysis::analyze(system, mode, mapping);
+        let analysis = &analyses[mode.index()];
         let threshold = graph.period() * options.mobility_threshold;
 
         // Demand per (hardware PE, type): the peak number of concurrently

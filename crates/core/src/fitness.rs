@@ -25,11 +25,12 @@ use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
 use momsynth_power::{power_report_with, ModeImplementation, PowerReport};
 use momsynth_sched::{
-    schedule_mode_with, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
+    schedule_mode_with_analysis, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
+    TimingAnalysis,
 };
 use momsynth_telemetry::{Phase, PhaseAccumulator, PhaseTiming};
 
-use crate::alloc::derive_allocation;
+use crate::alloc::{analyze_modes, derive_allocation_with};
 use crate::config::SynthesisConfig;
 use crate::transition::{transition_timings, TransitionTiming};
 
@@ -142,12 +143,16 @@ impl Solution {
     }
 }
 
-/// Reusable working memory for one evaluator: the list scheduler's and
-/// PV-DVS's per-call buffers. One evaluation allocates these once and
-/// every later evaluation on the same [`Evaluator`] reuses them, which
-/// removes the dominant allocation churn from the GA's hot loop.
+/// Reusable working memory for one evaluator: the per-mode timing
+/// analyses and the list scheduler's and PV-DVS's per-call buffers. One
+/// evaluation allocates these once and every later evaluation on the
+/// same [`Evaluator`] reuses them, which removes the dominant allocation
+/// churn from the GA's hot loop.
 #[derive(Debug, Default)]
 struct EvalScratch {
+    /// Every mode's timing analysis under the mapping being evaluated,
+    /// shared by core allocation and scheduling.
+    analyses: Vec<TimingAnalysis>,
     sched: ListScratch,
     dvs: DvsScratch,
 }
@@ -261,22 +266,29 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Solution, SchedError> {
         let system = self.system;
         // One borrow for the whole evaluation; never re-entered.
-        let scratch = &mut *self.scratch.borrow_mut();
-        let alloc = self
-            .phases
-            .measure(Phase::CoreAllocation, || derive_allocation(system, &mapping, &self.config.alloc));
+        let EvalScratch { analyses, sched, dvs: dvs_scratch } = &mut *self.scratch.borrow_mut();
+        let alloc = self.phases.measure(Phase::CoreAllocation, || {
+            analyze_modes(system, &mapping, analyses);
+            derive_allocation_with(system, &mapping, &self.config.alloc, analyses)
+        });
 
         let mut schedules = Vec::with_capacity(system.omsm().mode_count());
         let mut voltage_schedules = Vec::with_capacity(system.omsm().mode_count());
-        let mut factors: Vec<Vec<f64>> = Vec::with_capacity(system.omsm().mode_count());
-        for (mode, m) in system.omsm().modes() {
-            let sched_scratch = &mut scratch.sched;
+        // Energy factors of the voltage-scaled modes; empty at fixed voltage.
+        let mut factors: Vec<Vec<f64>> = Vec::new();
+        for (analysis, (_, m)) in analyses.iter().zip(system.omsm().modes()) {
             let schedule = self.phases.measure(Phase::ListScheduling, || {
-                schedule_mode_with(system, mode, &mapping, &alloc, self.config.scheduler, sched_scratch)
+                schedule_mode_with_analysis(
+                    system,
+                    &mapping,
+                    &alloc,
+                    analysis,
+                    self.config.scheduler,
+                    sched,
+                )
             })?;
             match dvs {
                 Some(options) => {
-                    let dvs_scratch = &mut scratch.dvs;
                     let scaled = self.phases.measure(Phase::VoltageScaling, || {
                         scale_mode_owned(system, schedule, options, dvs_scratch)
                     });
@@ -288,7 +300,6 @@ impl<'a> Evaluator<'a> {
                     schedules.push(schedule);
                 }
                 None => {
-                    factors.push(vec![1.0; m.graph().task_count()]);
                     voltage_schedules.push(vec![None; m.graph().task_count()]);
                     schedules.push(schedule);
                 }
@@ -298,8 +309,11 @@ impl<'a> Evaluator<'a> {
         let _pricing = self.phases.measure_guard(Phase::PowerPricing);
         let implementations: Vec<ModeImplementation<'_>> = schedules
             .iter()
-            .zip(&factors)
-            .map(|(s, f)| ModeImplementation::scaled(s, f))
+            .enumerate()
+            .map(|(i, s)| match factors.get(i) {
+                Some(f) => ModeImplementation::scaled(s, f),
+                None => ModeImplementation::nominal(s),
+            })
             .collect();
         let power = power_report_with(system, &implementations, &self.probabilities);
         let weighted: Watts = power

@@ -11,16 +11,20 @@
 //! per allocated hardware core instance, one per link. Hardware tasks of
 //! different cores run in parallel; tasks contending for the same core
 //! instance sequentialise — the paper's hardware-sharing semantics.
+//!
+//! Each server is a slot in a flat vector: the PEs' slots come first, then
+//! the links', then one block of core-instance slots per `(hardware PE,
+//! type)`, appended the first time a task of that type runs there.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
-use momsynth_model::ids::{ModeId, TaskId};
+use momsynth_model::ids::{ClId, ModeId, TaskId};
 use momsynth_model::units::Seconds;
 use momsynth_model::System;
 
 use crate::error::SchedError;
 use crate::mapping::{CoreAllocation, SystemMapping};
-use crate::mobility::{MobilityScratch, TimingAnalysis};
+use crate::mobility::TimingAnalysis;
 use crate::schedule::{ActivityId, ResourceKey, Schedule, ScheduledComm, ScheduledTask};
 
 /// The rule used to order ready tasks.
@@ -40,20 +44,50 @@ pub struct SchedulerOptions {
     pub priority: Priority,
 }
 
-/// Reusable buffers for [`schedule_mode_with`]. One instance per
-/// evaluation worker amortises the scheduler's per-call allocations
-/// (priority order, ranks, ready list, dependency counters and the
-/// mobility analysis) across the thousands of schedule calls of a
-/// synthesis run. Buffers are cleared on entry, so reuse can never leak
-/// state between calls.
+/// Reusable buffers for [`schedule_mode_with`] and
+/// [`schedule_mode_with_analysis`]. One instance per evaluation worker
+/// amortises the scheduler's per-call allocations (priority order, ranks,
+/// ready list, dependency counters, resource slots and the mobility
+/// analysis) across the thousands of schedule calls of a synthesis run.
+/// Every table is cleared and sized on entry, so one instance may serve
+/// systems of different shapes and reuse can never leak state between
+/// calls.
 #[derive(Debug, Default)]
 pub struct ListScratch {
-    mobility: MobilityScratch,
+    /// The analysis [`schedule_mode_with`] computes for the mobility order.
+    analysis: Option<TimingAnalysis>,
+    buffers: Buffers,
+}
+
+/// The scheduler's working buffers apart from the analysis.
+#[derive(Debug, Default)]
+struct Buffers {
     order: Vec<TaskId>,
     rank: Vec<usize>,
     scheduled: Vec<Option<ScheduledTask>>,
     pending_preds: Vec<usize>,
     ready: Vec<TaskId>,
+    slots: Vec<Slot>,
+    /// `(first slot, instance count)` of each `(hardware PE, type)` core
+    /// block, indexed `pe × type_count + type`; `None` until a task first
+    /// uses the pair.
+    hw_blocks: Vec<Option<(usize, usize)>>,
+}
+
+/// One sequential server.
+#[derive(Debug)]
+struct Slot {
+    key: ResourceKey,
+    /// When the server finishes its last activity so far.
+    free: Seconds,
+    /// Its activities in execution order.
+    activities: Vec<ActivityId>,
+}
+
+impl Slot {
+    fn new(key: ResourceKey) -> Self {
+        Self { key, free: Seconds::ZERO, activities: Vec::new() }
+    }
 }
 
 /// Schedules one mode of `system` under `mapping` and `alloc`.
@@ -63,7 +97,7 @@ pub struct ListScratch {
 /// [`Schedule::total_lateness`] and applies the paper's timing penalty.
 ///
 /// Allocates fresh working buffers per call; the synthesis hot loop uses
-/// [`schedule_mode_with`] with a reusable [`ListScratch`] instead.
+/// [`schedule_mode_with_analysis`] with a reusable [`ListScratch`] instead.
 ///
 /// # Errors
 ///
@@ -81,7 +115,8 @@ pub fn schedule_mode(
 }
 
 /// [`schedule_mode`] with caller-provided scratch buffers; produces the
-/// identical schedule.
+/// identical schedule. Under [`Priority::Mobility`] it analyses the mode
+/// into the analysis `scratch` holds.
 ///
 /// # Errors
 ///
@@ -94,44 +129,88 @@ pub fn schedule_mode_with(
     options: SchedulerOptions,
     scratch: &mut ListScratch,
 ) -> Result<Schedule, SchedError> {
+    let ListScratch { analysis, buffers } = scratch;
+    let analysis = match options.priority {
+        Priority::Fifo => None,
+        Priority::Mobility => {
+            match analysis {
+                Some(a) => a.reanalyze(system, mode, mapping),
+                None => *analysis = Some(TimingAnalysis::analyze(system, mode, mapping)),
+            }
+            analysis.as_ref()
+        }
+    };
+    list_schedule(system, mode, mapping, alloc, analysis, buffers)
+}
+
+/// [`schedule_mode`] for the mode `analysis` covers, taking the priority
+/// order from `analysis`, which must be the mode's analysis under
+/// `mapping`. A caller that already analysed the mode, for core
+/// allocation, saves the second analysis [`schedule_mode_with`] makes.
+/// Produces the identical schedule.
+///
+/// # Errors
+///
+/// As [`schedule_mode`].
+pub fn schedule_mode_with_analysis(
+    system: &System,
+    mapping: &SystemMapping,
+    alloc: &CoreAllocation,
+    analysis: &TimingAnalysis,
+    options: SchedulerOptions,
+    scratch: &mut ListScratch,
+) -> Result<Schedule, SchedError> {
+    let priority = (options.priority == Priority::Mobility).then_some(analysis);
+    list_schedule(system, analysis.mode(), mapping, alloc, priority, &mut scratch.buffers)
+}
+
+/// The list scheduler. Ready tasks are taken in the priority order of
+/// `analysis`, or in task-id order when it is `None`.
+fn list_schedule(
+    system: &System,
+    mode: ModeId,
+    mapping: &SystemMapping,
+    alloc: &CoreAllocation,
+    analysis: Option<&TimingAnalysis>,
+    buffers: &mut Buffers,
+) -> Result<Schedule, SchedError> {
     let graph = system.omsm().mode(mode).graph();
+    let arch = system.arch();
     let n = graph.task_count();
+    let Buffers { order, rank, scheduled, pending_preds, ready, slots, hw_blocks } = buffers;
 
     // Priority ranks: rank[task] = position in the chosen order.
-    let order = &mut scratch.order;
-    match options.priority {
-        Priority::Mobility => TimingAnalysis::priority_order_into(
-            system,
-            mode,
-            mapping,
-            &mut scratch.mobility,
-            order,
-        ),
-        Priority::Fifo => {
+    match analysis {
+        Some(analysis) => analysis.fill_priority_order(order),
+        None => {
             order.clear();
             order.extend(graph.task_ids());
         }
     }
-    let rank = &mut scratch.rank;
     rank.clear();
     rank.resize(n, 0);
     for (pos, &t) in order.iter().enumerate() {
         rank[t.index()] = pos;
     }
 
-    let scheduled = &mut scratch.scheduled;
     scheduled.clear();
     scheduled.resize(n, None);
-    // The comm entries and resource sequences escape into the returned
-    // `Schedule`, so they are freshly allocated.
+    // The comm entries escape into the returned `Schedule`, so they are
+    // freshly allocated.
     let mut comms: Vec<Option<ScheduledComm>> = vec![None; graph.comm_count()];
-    let mut avail: BTreeMap<ResourceKey, Seconds> = BTreeMap::new();
-    let mut sequences: BTreeMap<ResourceKey, Vec<ActivityId>> = BTreeMap::new();
 
-    let pending_preds = &mut scratch.pending_preds;
+    // Slot `pe` serves software PE `pe` (hardware PEs' slots stay unused),
+    // slot `pe_count + cl` serves link `cl`.
+    let pe_count = arch.pe_count();
+    let type_count = system.tech().type_count();
+    slots.clear();
+    slots.extend(arch.pe_ids().map(|pe| Slot::new(ResourceKey::SwPe(pe))));
+    slots.extend((0..arch.cl_count()).map(|cl| Slot::new(ResourceKey::Link(ClId::new(cl)))));
+    hw_blocks.clear();
+    hw_blocks.resize(pe_count * type_count, None);
+
     pending_preds.clear();
     pending_preds.extend(graph.task_ids().map(|t| graph.predecessors(t).len()));
-    let ready = &mut scratch.ready;
     ready.clear();
     ready.extend(graph.task_ids().filter(|t| pending_preds[t.index()] == 0));
 
@@ -160,49 +239,52 @@ pub fn schedule_mode_with(
                 continue;
             }
             let edge = graph.comm(comm);
-            // Pick the connecting link with the earliest transfer finish.
-            let mut best: Option<(ResourceKey, ScheduledComm)> = None;
-            for cl in system.arch().cls_between(src_pe, pe) {
-                let key = ResourceKey::Link(cl);
-                let link_free = avail.get(&key).copied().unwrap_or(Seconds::ZERO);
-                let start = link_free.max(pred_entry.finish());
-                let duration = system.arch().cl(cl).transfer_time(edge.data_units());
+            // Pick the first connecting link with the earliest transfer
+            // finish.
+            let mut best: Option<ScheduledComm> = None;
+            for cl in arch.cls_between(src_pe, pe) {
+                let start = slots[pe_count + cl.index()].free.max(pred_entry.finish());
+                let duration = arch.cl(cl).transfer_time(edge.data_units());
                 let candidate = ScheduledComm { comm, cl, start, duration };
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => candidate.finish() < b.finish(),
-                };
-                if better {
-                    best = Some((key, candidate));
+                if best.is_none_or(|b| candidate.finish() < b.finish()) {
+                    best = Some(candidate);
                 }
             }
-            let (key, entry) =
-                best.ok_or(SchedError::NoRoute { mode, from: src_pe, to: pe })?;
-            avail.insert(key, entry.finish());
-            sequences.entry(key).or_default().push(ActivityId::Comm(comm));
+            let entry = best.ok_or(SchedError::NoRoute { mode, from: src_pe, to: pe })?;
+            let link = &mut slots[pe_count + entry.cl.index()];
+            link.free = entry.finish();
+            link.activities.push(ActivityId::Comm(comm));
             comms[comm.index()] = Some(entry);
             est = est.max(entry.finish());
         }
 
-        // Pick the execution resource.
-        let resource = if system.arch().pe(pe).kind().is_software() {
-            ResourceKey::SwPe(pe)
+        // Pick the execution resource: the PE itself, or the first core
+        // instance with the strictly smallest free time.
+        let slot = if arch.pe(pe).kind().is_software() {
+            pe.index()
         } else {
-            let instances = alloc.instances(mode, pe, ty).max(1);
-            (0..instances)
-                .map(|i| ResourceKey::HwCore(pe, ty, i))
-                .min_by(|a, b| {
-                    let fa = avail.get(a).copied().unwrap_or(Seconds::ZERO);
-                    let fb = avail.get(b).copied().unwrap_or(Seconds::ZERO);
-                    fa.value().total_cmp(&fb.value())
-                })
-                .expect("at least one core instance")
+            let (first, count) = *hw_blocks[pe.index() * type_count + ty.index()]
+                .get_or_insert_with(|| {
+                    let instances = alloc.instances(mode, pe, ty).max(1);
+                    let first = slots.len();
+                    slots.extend(
+                        (0..instances).map(|i| Slot::new(ResourceKey::HwCore(pe, ty, i))),
+                    );
+                    (first, instances)
+                });
+            (first + 1..first + count).fold(first, |best, s| {
+                match slots[s].free.value().total_cmp(&slots[best].free.value()) {
+                    Ordering::Less => s,
+                    _ => best,
+                }
+            })
         };
-        let res_free = avail.get(&resource).copied().unwrap_or(Seconds::ZERO);
-        let start = est.max(res_free);
-        let entry = ScheduledTask { task, pe, resource, start, exec_time: imp.exec_time() };
-        avail.insert(resource, entry.finish());
-        sequences.entry(resource).or_default().push(ActivityId::Task(task));
+        let server = &mut slots[slot];
+        let start = est.max(server.free);
+        let entry =
+            ScheduledTask { task, pe, resource: server.key, start, exec_time: imp.exec_time() };
+        server.free = entry.finish();
+        server.activities.push(ActivityId::Task(task));
         scheduled[task.index()] = Some(entry);
 
         for &(_, succ) in graph.successors(task) {
@@ -217,7 +299,13 @@ pub fn schedule_mode_with(
         .iter_mut()
         .map(|t| t.take().expect("acyclic graph schedules every task"))
         .collect();
-    let sequences: Vec<(ResourceKey, Vec<ActivityId>)> = sequences.into_iter().collect();
+    // Resource keys order software PEs, then core instances, then links.
+    let mut sequences: Vec<(ResourceKey, Vec<ActivityId>)> = slots
+        .iter_mut()
+        .filter(|slot| !slot.activities.is_empty())
+        .map(|slot| (slot.key, std::mem::take(&mut slot.activities)))
+        .collect();
+    sequences.sort_unstable_by_key(|&(key, _)| key);
     Ok(Schedule::from_parts(mode, tasks, comms, sequences))
 }
 

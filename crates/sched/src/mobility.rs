@@ -18,106 +18,19 @@ use momsynth_model::System;
 use crate::mapping::SystemMapping;
 
 /// The ASAP/ALAP start times of every task in one mode.
+///
+/// [`TimingAnalysis::reanalyze`] recomputes an analysis in place, reusing
+/// its buffers, so one instance per mode serves every evaluation of a
+/// synthesis run without allocating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingAnalysis {
     mode: ModeId,
     exec: Vec<Seconds>,
+    /// Optimistic transfer time of every comm (zero when local), indexed
+    /// by comm id; computed once and read by both passes.
+    comm_est: Vec<Seconds>,
     asap: Vec<Seconds>,
     alap: Vec<Seconds>,
-}
-
-/// Reusable buffers for [`TimingAnalysis::priority_order_into`]. One
-/// instance per evaluation worker amortises the analysis allocations
-/// across the many schedule calls of a synthesis run.
-#[derive(Debug, Default)]
-pub struct MobilityScratch {
-    exec: Vec<Seconds>,
-    asap: Vec<Seconds>,
-    alap: Vec<Seconds>,
-    alap_finish: Vec<Seconds>,
-}
-
-/// Fills `exec`, `asap`, `alap` (and the `alap_finish` intermediate) for
-/// `mode`, reusing whatever capacity the buffers already have.
-fn analyze_into(
-    system: &System,
-    mode: ModeId,
-    mapping: &SystemMapping,
-    exec: &mut Vec<Seconds>,
-    asap: &mut Vec<Seconds>,
-    alap: &mut Vec<Seconds>,
-    alap_finish: &mut Vec<Seconds>,
-) {
-    let graph = system.omsm().mode(mode).graph();
-    let n = graph.task_count();
-
-    exec.clear();
-    exec.extend(graph.tasks().map(|(task, t)| {
-        let pe = mapping.pe_of(mode, task);
-        system
-            .tech()
-            .impl_of(t.task_type(), pe)
-            .map(|imp| imp.exec_time())
-            .or_else(|| system.tech().fastest_exec_time(t.task_type()))
-            .unwrap_or(Seconds::ZERO)
-    }));
-
-    let comm_est = |comm: momsynth_model::ids::CommId| -> Seconds {
-        let edge = graph.comm(comm);
-        let src_pe = mapping.pe_of(mode, edge.src());
-        let dst_pe = mapping.pe_of(mode, edge.dst());
-        if src_pe == dst_pe {
-            return Seconds::ZERO;
-        }
-        system
-            .arch()
-            .cls_between(src_pe, dst_pe)
-            .map(|cl| system.arch().cl(cl).transfer_time(edge.data_units()))
-            .fold(None, |best: Option<Seconds>, t| {
-                Some(best.map_or(t, |b| b.min(t)))
-            })
-            .unwrap_or(Seconds::ZERO)
-    };
-
-    // Forward pass: earliest start ignoring resource contention.
-    asap.clear();
-    asap.resize(n, Seconds::ZERO);
-    for &t in graph.topological_order() {
-        let mut start = Seconds::ZERO;
-        for &(comm, pred) in graph.predecessors(t) {
-            let arrival = asap[pred.index()] + exec[pred.index()] + comm_est(comm);
-            start = start.max(arrival);
-        }
-        asap[t.index()] = start;
-    }
-
-    // Backward pass: latest start meeting min(θ, φ) everywhere.
-    alap_finish.clear();
-    alap_finish.extend(graph.task_ids().map(|t| graph.effective_deadline(t)));
-    for &t in graph.topological_order().iter().rev() {
-        let mut finish = graph.effective_deadline(t);
-        for &(comm, succ) in graph.successors(t) {
-            let succ_start = alap_finish[succ.index()] - exec[succ.index()];
-            finish = finish.min(succ_start - comm_est(comm));
-        }
-        alap_finish[t.index()] = finish;
-    }
-    alap.clear();
-    alap.extend(alap_finish.iter().zip(exec.iter()).map(|(&f, &e)| f - e));
-}
-
-/// Sorts all task ids by ascending mobility (`alap − asap`), ties broken
-/// by ASAP time and then task id, into `out`.
-fn fill_priority_order(asap: &[Seconds], alap: &[Seconds], out: &mut Vec<TaskId>) {
-    out.clear();
-    out.extend((0..asap.len()).map(TaskId::new));
-    out.sort_by(|&a, &b| {
-        let mob = |t: TaskId| (alap[t.index()] - asap[t.index()]).value();
-        mob(a)
-            .total_cmp(&mob(b))
-            .then(asap[a.index()].value().total_cmp(&asap[b.index()].value()))
-            .then(a.index().cmp(&b.index()))
-    });
 }
 
 impl TimingAnalysis {
@@ -128,36 +41,78 @@ impl TimingAnalysis {
     /// analysis stays total; such mappings are rejected later by
     /// [`SystemMapping::validate`] and the scheduler.
     pub fn analyze(system: &System, mode: ModeId, mapping: &SystemMapping) -> Self {
-        let mut exec = Vec::new();
-        let mut asap = Vec::new();
-        let mut alap = Vec::new();
-        let mut alap_finish = Vec::new();
-        analyze_into(system, mode, mapping, &mut exec, &mut asap, &mut alap, &mut alap_finish);
-        Self { mode, exec, asap, alap }
+        let mut analysis = Self {
+            mode,
+            exec: Vec::new(),
+            comm_est: Vec::new(),
+            asap: Vec::new(),
+            alap: Vec::new(),
+        };
+        analysis.reanalyze(system, mode, mapping);
+        analysis
     }
 
-    /// Computes [`TimingAnalysis::priority_order`] for `mode` directly
-    /// into `out`, reusing `scratch` instead of allocating a fresh
-    /// analysis — the allocation-free path for the list scheduler's hot
-    /// loop. Produces exactly the order `analyze(..).priority_order()`
-    /// returns.
-    pub fn priority_order_into(
-        system: &System,
-        mode: ModeId,
-        mapping: &SystemMapping,
-        scratch: &mut MobilityScratch,
-        out: &mut Vec<TaskId>,
-    ) {
-        analyze_into(
-            system,
-            mode,
-            mapping,
-            &mut scratch.exec,
-            &mut scratch.asap,
-            &mut scratch.alap,
-            &mut scratch.alap_finish,
-        );
-        fill_priority_order(&scratch.asap, &scratch.alap, out);
+    /// Replaces this analysis with that of `mode` under `mapping`, reusing
+    /// the buffers. The result equals [`TimingAnalysis::analyze`]'s.
+    pub fn reanalyze(&mut self, system: &System, mode: ModeId, mapping: &SystemMapping) {
+        let graph = system.omsm().mode(mode).graph();
+        let n = graph.task_count();
+        self.mode = mode;
+
+        self.exec.clear();
+        self.exec.extend(graph.tasks().map(|(task, t)| {
+            let pe = mapping.pe_of(mode, task);
+            system
+                .tech()
+                .impl_of(t.task_type(), pe)
+                .map(|imp| imp.exec_time())
+                .or_else(|| system.tech().fastest_exec_time(t.task_type()))
+                .unwrap_or(Seconds::ZERO)
+        }));
+
+        self.comm_est.clear();
+        self.comm_est.extend(graph.comms().map(|(_, edge)| {
+            let src_pe = mapping.pe_of(mode, edge.src());
+            let dst_pe = mapping.pe_of(mode, edge.dst());
+            if src_pe == dst_pe {
+                return Seconds::ZERO;
+            }
+            system
+                .arch()
+                .cls_between(src_pe, dst_pe)
+                .map(|cl| system.arch().cl(cl).transfer_time(edge.data_units()))
+                .fold(None, |best: Option<Seconds>, t| Some(best.map_or(t, |b| b.min(t))))
+                .unwrap_or(Seconds::ZERO)
+        }));
+
+        let (exec, comm_est) = (&self.exec, &self.comm_est);
+
+        // Forward pass: earliest start ignoring resource contention.
+        let asap = &mut self.asap;
+        asap.clear();
+        asap.resize(n, Seconds::ZERO);
+        for &t in graph.topological_order() {
+            let mut start = Seconds::ZERO;
+            for &(comm, pred) in graph.predecessors(t) {
+                let arrival = asap[pred.index()] + exec[pred.index()] + comm_est[comm.index()];
+                start = start.max(arrival);
+            }
+            asap[t.index()] = start;
+        }
+
+        // Backward pass: latest finish meeting min(θ, φ) everywhere, kept
+        // as the latest start. A successor's latest start is its latest
+        // finish minus its execution time, already stored in `alap`.
+        let alap = &mut self.alap;
+        alap.clear();
+        alap.resize(n, Seconds::ZERO);
+        for &t in graph.topological_order().iter().rev() {
+            let mut finish = graph.effective_deadline(t);
+            for &(comm, succ) in graph.successors(t) {
+                finish = finish.min(alap[succ.index()] - comm_est[comm.index()]);
+            }
+            alap[t.index()] = finish - exec[t.index()];
+        }
     }
 
     /// Returns the analysed mode.
@@ -208,8 +163,23 @@ impl TimingAnalysis {
     /// priority order.
     pub fn priority_order(&self) -> Vec<TaskId> {
         let mut order = Vec::new();
-        fill_priority_order(&self.asap, &self.alap, &mut order);
+        self.fill_priority_order(&mut order);
         order
+    }
+
+    /// Writes [`TimingAnalysis::priority_order`] into `out`, reusing its
+    /// capacity.
+    pub(crate) fn fill_priority_order(&self, out: &mut Vec<TaskId>) {
+        let (asap, alap) = (&self.asap, &self.alap);
+        out.clear();
+        out.extend((0..asap.len()).map(TaskId::new));
+        out.sort_by(|&a, &b| {
+            let mob = |t: TaskId| (alap[t.index()] - asap[t.index()]).value();
+            mob(a)
+                .total_cmp(&mob(b))
+                .then(asap[a.index()].value().total_cmp(&asap[b.index()].value()))
+                .then(a.index().cmp(&b.index()))
+        });
     }
 
     /// Returns `true` if the ASAP windows of two tasks overlap — a
@@ -378,23 +348,16 @@ mod tests {
     #[test]
     fn scratch_priority_order_matches_the_allocating_path() {
         let sys = fork_join_system(100.0);
-        let mut scratch = MobilityScratch::default();
-        let mut order = Vec::new();
-        // Reuse the same scratch across different mappings: stale buffer
-        // contents must not leak into later analyses.
+        let mut reused = TimingAnalysis::analyze(&sys, ModeId::new(0), &all_cpu_mapping(&sys));
+        // Reanalyse the same instance under different mappings: stale
+        // buffer contents must not leak into later analyses.
         for hw_task in [1usize, 2] {
             let mut mapping = all_cpu_mapping(&sys);
             mapping.set(ModeId::new(0), TaskId::new(hw_task), PeId::new(1));
-            TimingAnalysis::priority_order_into(
-                &sys,
-                ModeId::new(0),
-                &mapping,
-                &mut scratch,
-                &mut order,
-            );
-            let expected =
-                TimingAnalysis::analyze(&sys, ModeId::new(0), &mapping).priority_order();
-            assert_eq!(order, expected);
+            reused.reanalyze(&sys, ModeId::new(0), &mapping);
+            let fresh = TimingAnalysis::analyze(&sys, ModeId::new(0), &mapping);
+            assert_eq!(reused.priority_order(), fresh.priority_order());
+            assert_eq!(reused, fresh);
         }
     }
 
